@@ -56,7 +56,6 @@ import time
 import pytest
 from _bench_env import QUICK, bench_out_name, bench_scale
 
-from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.engine import ExecutionEngine, ExecutionMode
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import (
@@ -314,7 +313,7 @@ class TestResilienceTrajectory:
                 mode=ExecutionMode.STREAMED,
             )
             if adaptive:
-                return AdaptiveExecutor(
+                return ProgressiveExecutor(
                     resilience=adaptive_config, drift=drift_policy, **common
                 )
             return ProgressiveExecutor(resilience=static_config, **common)

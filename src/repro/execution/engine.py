@@ -83,6 +83,14 @@ from repro.plans.dag import QueryPlan
 from repro.plans.nodes import InputNode, JoinNode, OutputNode, PlanNode, ServiceNode
 from repro.services.registry import ServiceRegistry
 
+#: Virtual seconds each dispatched call adds to a node's busy time
+#: under ``MULTITHREADED`` (and in ``ParallelExecutor`` with more than
+#: one worker).
+THREAD_OVERHEAD = 0.05
+#: Seed of the ``MULTITHREADED`` feed shuffle, fixed so the degraded
+#: one-call cache hit pattern is reproducible.
+SHUFFLE_SEED = 17
+
 
 class ExecutionError(RuntimeError):
     """Raised when a plan cannot be executed (unbound inputs, etc.)."""
@@ -189,19 +197,14 @@ class ExecutionEngine:
         registry: ServiceRegistry,
         cache_setting: CacheSetting = CacheSetting.NO_CACHE,
         mode: ExecutionMode = ExecutionMode.PARALLEL,
-        thread_overhead: float = 0.05,
-        shuffle_seed: int = 17,
         lazy_streaming: bool = True,
         slot_rows: bool = True,
         resilience: ResilienceConfig | None = None,
         row_provenance: bool = False,
-        drift_monitor: DriftMonitor | None = None,
     ) -> None:
         self._registry = registry
         self._cache_setting = cache_setting
         self._mode = mode
-        self._thread_overhead = thread_overhead
-        self._shuffle_seed = shuffle_seed
         #: Retry/hedge/partial-results behavior of every page pull
         #: (:mod:`repro.execution.resilience`); None runs the
         #: historical fail-fast path bit-identically.
@@ -229,9 +232,11 @@ class ExecutionEngine:
         #: Observes remote fetch latency against each plan node's
         #: costed profile and raises
         #: :class:`~repro.execution.resilience.PlanDrift` on
-        #: divergence; None (the default) never observes anything —
-        #: the zero-drift bit-identity is structural, not thresholded.
-        self._drift_monitor = drift_monitor
+        #: divergence; armed (and re-armed after every splice) by a
+        #: drift-monitored progressive executor.  None (the default)
+        #: never observes anything — the zero-drift bit-identity is
+        #: structural, not thresholded.
+        self.drift_monitor: DriftMonitor | None = None
         #: Under STREAMED with a k budget, fetch the final join's
         #: service inputs (single- and multi-feed) on demand; False
         #: restores PR 2's eager materialization (same results, more
@@ -312,10 +317,11 @@ class ExecutionEngine:
         # to a sibling it never tried; both are finite per plan, so
         # the loop terminates.  A PlanDrift raised by the drift
         # monitor is *not* absorbed here: it aborts the execution for
-        # the adaptive layer to re-plan, carrying the partial stats.
+        # the progressive executor to re-plan, carrying the partial
+        # stats.
         try:
             while True:
-                rng = random.Random(self._shuffle_seed)
+                rng = random.Random(SHUFFLE_SEED)
                 stream: JoinStream | None = None
                 lazy_cursors: dict[str, LazyServiceCursor | MultiFeedCursor] = {}
                 outputs: dict[str, list[Row]] = {}
@@ -542,21 +548,6 @@ class ExecutionEngine:
         """
         self._service_substitutions[service] = replacement
 
-    def adopt_adaptive_state(self, other: "ExecutionEngine") -> None:
-        """Carry another engine's demotions and reroutes into this one.
-
-        The adaptive executor builds a fresh engine per re-plan; the
-        new engine must keep masking what the old one demoted and keep
-        serving rerouted units from their replacements, or a re-plan
-        would silently resurrect known-bad units.
-        """
-        self._demoted.update(other._demoted)
-        self._substituted.update(other._substituted)
-        self._service_substitutions.update(other._service_substitutions)
-        self._unit_attempts.update(other._unit_attempts)
-        self._origin.update(other._origin)
-        self._substitution_used.update(other._substitution_used)
-
     def _invoke_service(
         self, service, node: ServiceNode, inputs, input_key: tuple,
         page: int, stats: ExecutionStats, service_name: str | None = None,
@@ -607,7 +598,7 @@ class ExecutionEngine:
         # ``routing`` is False and every row uses the hoisted service
         # objects above, bit-identically to the static engine.
         routing = self._routing_active()
-        monitor = self._drift_monitor
+        monitor = self.drift_monitor
         # Per-node layout, hoisted out of the per-tuple loop: the input
         # positions (with constants resolved) and the output terms are
         # the same for every row, and building the cache key from the
@@ -1042,7 +1033,7 @@ class ExecutionEngine:
         if not latencies:
             return 0.0
         if self._mode is ExecutionMode.MULTITHREADED:
-            return max(latencies) + self._thread_overhead * len(latencies)
+            return max(latencies) + THREAD_OVERHEAD * len(latencies)
         return sum(latencies)
 
     def _elapsed(self, plan: QueryPlan, busy: Mapping[str, float]) -> float:
@@ -1195,7 +1186,7 @@ class _LazyServicePageSource:
                 result.latency, result.from_remote_cache, len(result.tuples)
             )
             latency = result.latency
-            monitor = self._engine._drift_monitor
+            monitor = self._engine.drift_monitor
             # Same rule as the eager seam: only profiled-service
             # fetches feed the drift monitor.
             if monitor is not None and name == node.service_name:

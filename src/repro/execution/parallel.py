@@ -62,6 +62,7 @@ from repro.execution.cache import (
     make_cache,
 )
 from repro.execution.engine import (
+    THREAD_OVERHEAD,
     ExecutionEngine,
     ExecutionError,
     ExecutionMode,
@@ -83,7 +84,6 @@ class ParallelExecutor:
         registry,
         cache_setting: CacheSetting = CacheSetting.NO_CACHE,
         workers: int = 4,
-        thread_overhead: float = 0.05,
         slot_rows: bool = True,
         resilience: ResilienceConfig | None = None,
         row_provenance: bool = False,
@@ -91,7 +91,6 @@ class ParallelExecutor:
         self._registry = registry
         self._cache_setting = cache_setting
         self._workers = max(1, workers)
-        self._thread_overhead = thread_overhead
         self._resilience = resilience
         #: Join/output/binding logic is delegated to a composed engine
         #: (PARALLEL mode: no feed shuffle, critical-path timing), so
@@ -103,7 +102,6 @@ class ParallelExecutor:
             registry,
             cache_setting=cache_setting,
             mode=ExecutionMode.PARALLEL,
-            thread_overhead=thread_overhead,
             slot_rows=slot_rows,
             resilience=resilience,
             row_provenance=row_provenance,
@@ -367,7 +365,7 @@ class ParallelExecutor:
             # Concurrent rows overlap: the node is busy for its longest
             # row plus a dispatch overhead per remote call (the same
             # accounting the MULTITHREADED virtual mode applies).
-            node_busy = max(row_busys) + self._thread_overhead * remote_calls
+            node_busy = max(row_busys) + THREAD_OVERHEAD * remote_calls
         else:
             node_busy = sum(row_busys)
         return produced, node_busy

@@ -29,16 +29,46 @@ re-execution finds them for free.  Only when the suspended stream
 exhausts its budgeted plane without reaching the requested k does the
 executor fall back to growing fetches and re-executing (where the
 shared logical cache again absorbs every already-fetched page).
+
+With a :class:`~repro.execution.resilience.DriftPolicy` the executor
+also re-plans **mid-run**.  A
+:class:`~repro.execution.resilience.DriftMonitor` armed on the engine
+watches every remote fetch; when a service's mean latency leaves the
+profile its plan node was costed at, it raises
+:class:`~repro.execution.resilience.PlanDrift` out of the fetch seam.
+The executor catches it, re-costs against the observed response times
+(the optional ``replan`` callback), optionally reroutes the drifted
+service onto a registered sibling, and *splices*: the run restarts on
+the replacement plan over the same engine and the same logical cache.
+Soundness of the splice rests on four invariants:
+
+* **no lost work** — the aborted attempt's statistics ride on the
+  ``PlanDrift`` and become an explicit zero-answer round;
+* **no lost state** — one engine spans every splice, so its demotions
+  and reroutes carry over by construction and a re-plan can never
+  resurrect a unit already proven bad;
+* **no re-pulls** — every page the aborted attempt fetched is
+  re-served from the shared logical cache;
+* **no livelock** — the re-armed monitor exempts every service whose
+  drift was already absorbed, and ``max_replans`` bounds the splice
+  count before the run finishes un-monitored.
+
+While no observation crosses the threshold the monitor only reads, so
+a drift-monitored run is bit-identical — rows, ranks, and full
+statistics — to an unmonitored one over the same plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.execution.cache import CacheSetting, LogicalCache, make_cache
 from repro.execution.engine import ExecutionEngine, ExecutionMode, ExecutionResult
 from repro.execution.resilience import (
+    DriftEvent,
     DriftMonitor,
+    DriftPolicy,
     PlanDrift,
     ResilienceConfig,
     UnresponsiveService,
@@ -69,10 +99,18 @@ class ProgressiveRound:
 
     fetches: dict[int, int]
     answers: int
-    new_calls: int
-    elapsed: float
+    stats: ExecutionStats
     resumed: bool = False
-    stats: ExecutionStats | None = None
+
+    @property
+    def new_calls(self) -> int:
+        """Service calls the round issued."""
+        return self.stats.total_calls
+
+    @property
+    def elapsed(self) -> float:
+        """The round's virtual elapsed time."""
+        return self.stats.elapsed
 
 
 @dataclass
@@ -101,8 +139,10 @@ class ProgressiveExecutor:
     head: tuple[Variable, ...] = ()
     mode: ExecutionMode = ExecutionMode.PARALLEL
     cache_setting: CacheSetting = CacheSetting.OPTIMAL
-    #: Bounds the *executing* rounds (those that run the plan); resumed
-    #: stream rounds are nearly free and never count against it.
+    #: Bounds the *executing* rounds (those that run the plan) of each
+    #: plan, so a drift splice gives the replacement plan a fresh
+    #: budget; resumed stream rounds are nearly free and never count
+    #: against it.
     max_rounds: int = 8
     lazy_streaming: bool = True
     #: An externally owned logical cache to run against (the serving
@@ -124,11 +164,17 @@ class ProgressiveExecutor:
     #: rides inside :class:`~repro.execution.results.Row`, so resumed
     #: stream rounds carry it automatically.
     row_provenance: bool = False
-    #: Observes remote fetch latencies against the plan's costed
-    #: profiles and raises :class:`PlanDrift` on divergence — installed
-    #: by the adaptive layer, None (structurally inert) otherwise.
-    drift_monitor: DriftMonitor | None = None
+    #: Re-plan mid-run when a service's observed latency drifts from
+    #: its costed profile (see the module docstring); None never
+    #: monitors anything.
+    drift: DriftPolicy | None = None
+    #: Observed response times (service name -> virtual seconds,
+    #: cumulative across all drifts so far) -> replacement plan; None,
+    #: or a None return, keeps the current plan (the splice then only
+    #: changes routing and monitoring, e.g. a sibling substitution).
+    replan: Callable[[dict[str, float]], QueryPlan | None] | None = None
     rounds: list[ProgressiveRound] = field(default_factory=list)
+    drift_events: list[DriftEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._engine = ExecutionEngine(
@@ -138,7 +184,6 @@ class ProgressiveExecutor:
             lazy_streaming=self.lazy_streaming,
             resilience=self.resilience,
             row_provenance=self.row_provenance,
-            drift_monitor=self.drift_monitor,
         )
         # One shared cache across all rounds: continuations are free
         # where they overlap with what was already fetched.
@@ -148,11 +193,24 @@ class ProgressiveExecutor:
             else make_cache(self.cache_setting)
         )
         self._last_result: ExecutionResult | None = None
+        #: Services whose drift a splice already absorbed, with their
+        #: observed mean response times (what ``replan`` re-costs at).
+        self._overrides: dict[str, float] = {}
+        #: Index of the current plan's first round: the round budget
+        #: and the exhaustion baseline are per plan, so a replacement
+        #: plan starts fresh.
+        self._plan_start = 0
+        self._arm_monitor()
 
     @property
     def engine(self) -> ExecutionEngine:
-        """The underlying engine (the adaptive layer reroutes on it)."""
+        """The underlying engine (the serving layer reroutes on it)."""
         return self._engine
+
+    @property
+    def replans(self) -> int:
+        """How many times this execution spliced a replacement plan."""
+        return len(self.drift_events)
 
     def fetch_vector(self) -> dict[int, int]:
         """Current fetching factors of the chunked nodes."""
@@ -190,7 +248,22 @@ class ProgressiveExecutor:
         pre-warmed shared cache (the serving layer) issues zero remote
         calls while still uncovering new data, and must keep growing
         exactly as a cold executor would.
+
+        A :class:`PlanDrift` splices a replacement plan and retries it
+        (see the module docstring); the round budget and the early
+        stops apply to each plan on its own.
         """
+        while True:
+            try:
+                result = self._run_plan(k)
+            except PlanDrift as plan_drift:
+                self._splice(plan_drift)
+                continue
+            self._last_result = result
+            return result
+
+    def _run_plan(self, k: int) -> ExecutionResult:
+        """One plan's rounds: resume, execute, grow while short of *k*."""
         result = self._resume_stream(k)
         if result is None:
             result = self._execute_round(k)
@@ -214,7 +287,6 @@ class ProgressiveExecutor:
             ):
                 break  # the services are exhausted: no more data exists
             baseline_processed = processed
-        self._last_result = result
         return result
 
     def more(self, additional: int) -> ExecutionResult:
@@ -259,9 +331,9 @@ class ProgressiveExecutor:
             self._last_result = None
             return None
         except PlanDrift as drift:
-            # Latency drift observed mid-resume: hand the adaptive
-            # layer this round's partial accounting (the aborted work
-            # happened and must stay counted) along with the signal.
+            # Latency drift observed mid-resume: hand the splice this
+            # round's partial accounting (the aborted work happened
+            # and must stay counted) along with the signal.
             if drift.stats is None:
                 drift.stats = stats
             raise
@@ -301,10 +373,8 @@ class ProgressiveExecutor:
             ProgressiveRound(
                 fetches=self.fetch_vector(),
                 answers=len(rows),
-                new_calls=stats.total_calls,
-                elapsed=stats.elapsed,
-                resumed=True,
                 stats=stats,
+                resumed=True,
             )
         )
         return result
@@ -321,8 +391,6 @@ class ProgressiveExecutor:
             ProgressiveRound(
                 fetches=self.fetch_vector(),
                 answers=len(result.rows),
-                new_calls=result.stats.total_calls,
-                elapsed=result.elapsed,
                 stats=result.stats,
             )
         )
@@ -340,9 +408,7 @@ class ProgressiveExecutor:
         plan — then there is nothing to compare a growth round against.
         """
         baseline: int | None = None
-        for r in self.rounds:
-            if r.stats is None:
-                continue
+        for r in self.rounds[self._plan_start:]:
             if not r.resumed:
                 baseline = r.stats.tuples_processed
             elif baseline is not None:
@@ -350,8 +416,81 @@ class ProgressiveExecutor:
         return baseline
 
     def _executed_rounds(self) -> int:
-        """Rounds that actually ran the plan (resumed rounds are free)."""
-        return sum(1 for r in self.rounds if not r.resumed)
+        """Rounds that actually ran the current plan (resumed rounds
+        are free)."""
+        return sum(1 for r in self.rounds[self._plan_start:] if not r.resumed)
 
-    def _total_calls(self) -> int:
-        return sum(r.new_calls for r in self.rounds)
+    # -- drift splices -------------------------------------------------------
+
+    def _arm_monitor(self) -> None:
+        """(Re-)arm a fresh drift monitor on the engine.
+
+        Monitoring stays on only while another re-plan is still
+        allowed; past ``max_replans`` the run finishes un-monitored.
+        """
+        drift = self.drift
+        self._engine.drift_monitor = (
+            DriftMonitor(drift, adapted=frozenset(self._overrides))
+            if drift is not None and self.replans < drift.max_replans
+            else None
+        )
+
+    def _splice(self, plan_drift: PlanDrift) -> None:
+        """Record the aborted attempt, re-cost, and restart on the
+        replacement plan over the same engine and logical cache."""
+        # Both raise sites attach the round's partial stats.  The abort
+        # preempted the elapsed computation; the fetched branches ran
+        # in parallel, so the attempt took as long as its busiest
+        # service.
+        stats = plan_drift.stats
+        stats.elapsed = max(
+            (s.busy_time for s in stats.per_service.values()), default=0.0
+        )
+        self.rounds.append(
+            ProgressiveRound(
+                fetches=self.fetch_vector(), answers=0, stats=stats
+            )
+        )
+        self._overrides[plan_drift.service] = plan_drift.observed
+        replanned = False
+        if self.replan is not None:
+            replacement = self.replan(dict(self._overrides))
+            if replacement is not None:
+                self.plan = replacement
+                replanned = True
+        substituted_with = (
+            self._sibling_for(plan_drift.service)
+            if self.drift.substitute_siblings
+            else None
+        )
+        self.drift_events.append(
+            DriftEvent(
+                service=plan_drift.service,
+                observed=plan_drift.observed,
+                expected=plan_drift.expected,
+                fetches=plan_drift.fetches,
+                replanned=replanned,
+                substituted_with=substituted_with,
+            )
+        )
+        self._arm_monitor()
+        if substituted_with is not None:
+            self._engine.substitute_service(
+                plan_drift.service, substituted_with
+            )
+        # The suspended stream (if any) belongs to the aborted plan;
+        # the retry starts from a fresh execution over the shared
+        # cache, which re-serves every fetched page locally.
+        self._last_result = None
+        self._plan_start = len(self.rounds)
+
+    def _sibling_for(self, service: str) -> str | None:
+        """A registered equivalent able to serve every pattern the plan
+        uses for *service*; None when there is none."""
+        codes = {
+            node.pattern.code
+            for node in self.plan.service_nodes
+            if node.service_name == service and node.pattern is not None
+        }
+        siblings = self.registry.siblings(service, tuple(sorted(codes)))
+        return siblings[0] if siblings else None

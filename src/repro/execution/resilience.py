@@ -197,7 +197,7 @@ class DriftPolicy:
     with, after at least ``min_fetches`` observations (one slow page
     is a straggler — hedging's job; a consistently slow service is a
     mis-costed plan — re-planning's job).  ``max_replans`` bounds how
-    many times one adaptive execution may re-plan before it stops
+    many times one drift-monitored execution may re-plan before it stops
     monitoring and finishes with whatever plan it has.
     ``substitute_siblings`` additionally reroutes the drifted
     service's units onto an equivalent registered sibling (when one
@@ -216,10 +216,11 @@ class PlanDrift(RuntimeError):
     """A service's observed latency left the profile it was costed at.
 
     Control-flow exception raised by :class:`DriftMonitor` out of the
-    engine's fetch seams; the :class:`~repro.execution.adaptive.
-    AdaptiveExecutor` catches it, re-optimizes against the observed
-    response times, and splices the replacement plan mid-run.  The
-    seam that raised it attaches the execution's partial
+    engine's fetch seams; a
+    :class:`~repro.execution.progressive.ProgressiveExecutor` run with
+    a :class:`DriftPolicy` catches it, re-optimizes against the
+    observed response times, and splices the replacement plan mid-run.
+    The seam that raised it attaches the execution's partial
     :class:`~repro.execution.stats.ExecutionStats` as ``stats`` so the
     aborted attempt's work stays accounted.
     """
@@ -290,6 +291,18 @@ class DriftMonitor:
             if count
         }
 
+
+
+@dataclass(frozen=True)
+class DriftEvent:
+    """One recorded mid-run plan splice, for audit and benches."""
+
+    service: str
+    observed: float
+    expected: float
+    fetches: int
+    replanned: bool
+    substituted_with: str | None
 
 _HEDGE_POOL: ThreadPoolExecutor | None = None
 _HEDGE_POOL_LOCK = threading.Lock()

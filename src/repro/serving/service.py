@@ -57,7 +57,6 @@ from typing import Sequence
 
 from repro.costs.base import CostMetric
 from repro.costs.time_cost import ExecutionTimeMetric
-from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.cache import (
     CacheSetting,
     LogicalCache,
@@ -247,8 +246,8 @@ class QueryService:
     #: Opt-in mid-flight adaptivity (:mod:`repro.serving.breaker`):
     #: per-service circuit breakers accumulate observed health across
     #: requests and feed adjusted response times back into plan costs,
-    #: executions run under an :class:`~repro.execution.adaptive.
-    #: AdaptiveExecutor` that re-plans on latency drift, and open
+    #: executions re-plan mid-run on latency drift (the
+    #: :class:`ProgressiveExecutor` drift splice), and open
     #: breakers reroute onto registered sibling services.  None keeps
     #: the static serving path, bit-identically.
     adaptive: AdaptivePolicy | None = None
@@ -319,7 +318,7 @@ class QueryService:
         executor = self._make_executor(query, plan, k)
         result = executor.run(k)
         self._feed_breaker(executor.rounds, result)
-        replans = getattr(executor, "replans", 0)
+        replans = executor.replans
         if replans:
             with self._stats_lock:
                 self.stats.replans += replans
@@ -357,11 +356,11 @@ class QueryService:
                 self.stats.continuations += 1
             additional = self.k_default if additional is None else additional
             rounds_before = len(executor.rounds)
-            replans_before = getattr(executor, "replans", 0)
+            replans_before = executor.replans
             result = executor.more(additional)
             new_rounds = executor.rounds[rounds_before:]
             self._feed_breaker(new_rounds, result)
-            replans = getattr(executor, "replans", 0) - replans_before
+            replans = executor.replans - replans_before
             if replans:
                 with self._stats_lock:
                     self.stats.replans += replans
@@ -568,35 +567,29 @@ class QueryService:
             return self.registry
         return AdjustedRegistry(self.registry, overrides)
 
-    def _make_executor(self, query: ConjunctiveQuery, plan: QueryPlan, k: int):
-        """The per-submission executor: adaptive when configured."""
+    def _make_executor(
+        self, query: ConjunctiveQuery, plan: QueryPlan, k: int
+    ) -> ProgressiveExecutor:
+        """The per-submission executor: drift-monitored when adaptive."""
         if self.adaptive is None:
-            return ProgressiveExecutor(
-                registry=self.registry,
-                plan=plan,
-                head=tuple(query.head),
-                mode=self.mode,
-                cache_setting=self.cache_setting,
-                shared_cache=self._service_cache,
-                reset_remote=False,
-                resilience=self._exec_resilience,
-                row_provenance=self.row_provenance,
-            )
+            drift = replan = None
+        else:
+            drift = self.adaptive.drift
 
-        def replan(observed: dict) -> QueryPlan | None:
-            # Merge breaker knowledge (cross-request) with this run's
-            # drift observations, re-resolve through the plan cache
-            # under the adjusted view; the adjusted epoch keys the
-            # spliced plan separately.
-            merged = dict(self.breaker.response_time_overrides())
-            merged.update(observed)
-            view = AdjustedRegistry(self.registry, merged)
-            new_plan, _, _, _, _, _ = self._resolve_plan(
-                query, k, registry=view
-            )
-            return new_plan
+            def replan(observed: dict) -> QueryPlan | None:
+                # Merge breaker knowledge (cross-request) with this
+                # run's drift observations, re-resolve through the
+                # plan cache under the adjusted view; the adjusted
+                # epoch keys the spliced plan separately.
+                merged = dict(self.breaker.response_time_overrides())
+                merged.update(observed)
+                view = AdjustedRegistry(self.registry, merged)
+                new_plan, _, _, _, _, _ = self._resolve_plan(
+                    query, k, registry=view
+                )
+                return new_plan
 
-        executor = AdaptiveExecutor(
+        executor = ProgressiveExecutor(
             registry=self.registry,
             plan=plan,
             head=tuple(query.head),
@@ -606,14 +599,15 @@ class QueryService:
             reset_remote=False,
             resilience=self._exec_resilience,
             row_provenance=self.row_provenance,
-            drift=self.adaptive.drift,
+            drift=drift,
             replan=replan,
         )
-        self._apply_breaker_routing(executor, plan)
+        if self.adaptive is not None:
+            self._apply_breaker_routing(executor, plan)
         return executor
 
     def _apply_breaker_routing(
-        self, executor: AdaptiveExecutor, plan: QueryPlan
+        self, executor: ProgressiveExecutor, plan: QueryPlan
     ) -> None:
         """Reroute breaker-open services onto healthy siblings up front.
 
@@ -660,8 +654,6 @@ class QueryService:
             return
         totals: dict[str, tuple[int, float]] = {}
         for r in rounds:
-            if r.stats is None:
-                continue
             for name, per_service in r.stats.per_service.items():
                 fetches, busy = totals.get(name, (0, 0.0))
                 totals[name] = (
@@ -704,7 +696,7 @@ class QueryService:
         # the work of *all* of them — each round's statistics object
         # is fresh, so totals are summed over the request's rounds,
         # not read off the final result alone.
-        round_stats = [r.stats for r in rounds if r.stats is not None]
+        round_stats = [r.stats for r in rounds]
         stats = {
             "service_calls": sum(s.total_calls for s in round_stats),
             "page_fetches": sum(s.total_fetches for s in round_stats),

@@ -3,9 +3,9 @@
 Covers the three adaptive mechanisms end to end:
 
 * the :class:`~repro.execution.resilience.DriftMonitor` /
-  :class:`~repro.execution.adaptive.AdaptiveExecutor` splice loop
-  (drift fires, the aborted work stays accounted, the replacement
-  inner run answers fetched pages from the shared cache);
+  :class:`~repro.execution.progressive.ProgressiveExecutor` drift
+  splice (drift fires, the aborted work stays accounted, the
+  replacement plan's run answers fetched pages from the shared cache);
 * sibling fallback in the static engine (an exhausted unit is served
   by a registered equivalent before partial results may drop it);
 * the serving layer's per-service :class:`~repro.serving.breaker.
@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.costs.time_cost import ExecutionTimeMetric
-from repro.execution.adaptive import AdaptiveExecutor
 from repro.execution.engine import ExecutionMode
 from repro.execution.progressive import ProgressiveExecutor
 from repro.execution.resilience import (
@@ -328,7 +327,9 @@ class TestZeroDriftDifferential:
             if kind == "static":
                 executors.append(ProgressiveExecutor(**common))
             else:
-                executors.append(AdaptiveExecutor(**common))
+                executors.append(
+                    ProgressiveExecutor(drift=DriftPolicy(), **common)
+                )
         return executors
 
     @settings(max_examples=25, deadline=None)
@@ -366,9 +367,9 @@ class TestZeroDriftDifferential:
         """The differential must not pass because the monitor is off."""
         _, adaptive = self._pair(side=6, chunk=2, fetches=2,
                                  mode=ExecutionMode.PARALLEL)
-        assert adaptive.engine._drift_monitor is not None
+        assert adaptive.engine.drift_monitor is not None
         adaptive.run(4)
-        observed = adaptive.engine._drift_monitor.observed_response_times()
+        observed = adaptive.engine.drift_monitor.observed_response_times()
         assert observed  # fetches were watched...
         assert adaptive.replans == 0  # ...and none of them drifted
 
@@ -444,7 +445,7 @@ class TestSiblingFallback:
 
 
 def _adaptive(registry, query, plan, drift, replan=None):
-    return AdaptiveExecutor(
+    return ProgressiveExecutor(
         registry=registry, plan=plan, head=tuple(query.head),
         mode=ExecutionMode.PARALLEL, drift=drift, replan=replan,
     )
@@ -536,8 +537,72 @@ class TestDriftSplice:
         executor = _adaptive(registry, query, plan, policy)
         result = executor.run(4)
         assert executor.replans == 0
-        assert executor.engine._drift_monitor is None
+        assert executor.engine.drift_monitor is None
         assert len(result.rows) >= 4
+
+    def test_growth_round_drift_gives_the_new_plan_a_fresh_budget(self):
+        # One remote lefts fetch per round: the first round stays
+        # under min_fetches, the fetch-growth round crosses it.
+        registry, query, plan = build_world(side=8, chunk=2, fetches=1)
+        make_flaky(registry, "lefts", delay_rate=1.0)
+        patterns = (
+            registry.signature("lefts").pattern("ioo"),
+            registry.signature("rights").pattern("ioo"),
+        )
+
+        def replan(overrides):
+            return PlanBuilder(query, registry).build(
+                patterns, Poset(n=2), fetches={0: 1, 1: 1}
+            )
+
+        policy = DriftPolicy(
+            latency_factor=3.0, min_fetches=2, substitute_siblings=False
+        )
+        executor = ProgressiveExecutor(
+            registry=registry, plan=plan, head=tuple(query.head),
+            mode=ExecutionMode.PARALLEL, max_rounds=2,
+            drift=policy, replan=replan,
+        )
+        # k=20 needs fetches of 4: unreachable within two rounds.
+        result = executor.run(20)
+
+        assert executor.replans == 1
+        first, aborted, *replacement = executor.rounds
+        assert first.answers == 4 and not first.resumed
+        # The aborted growth round stays in the log with its fetches.
+        assert aborted.answers == 0
+        assert aborted.fetches == {0: 2, 1: 2}
+        assert aborted.stats.total_fetches > 0
+        # The replacement plan runs its own max_rounds executed rounds,
+        # not what the drifted plan left of the budget.
+        assert [r.fetches for r in replacement] == [
+            {0: 1, 1: 1}, {0: 2, 1: 2},
+        ]
+        assert not any(r.resumed for r in replacement)
+        assert len(result.rows) == replacement[-1].answers == 16
+
+    def test_reroutes_survive_the_splice(self):
+        """One engine spans the splice: a unit already rerouted onto
+        its sibling is never re-attempted on the failed original."""
+        registry, query, plan = build_world(sibling=True)
+        make_flaky(registry, "lefts", fail_rate=1.0)
+        make_flaky(registry, "rights", delay_rate=1.0)
+        executor = ProgressiveExecutor(
+            registry=registry, plan=plan, head=tuple(query.head),
+            mode=ExecutionMode.PARALLEL, resilience=RESILIENT,
+            drift=self.DRIFT,
+        )
+        engine = executor.engine
+        result = executor.run(4)
+
+        assert executor.replans == 1
+        assert executor.drift_events[0].service == "rights"
+        assert executor.engine is engine
+        aborted, *after = executor.rounds
+        assert aborted.stats.wasted_fetches == 1
+        assert sum(r.stats.wasted_fetches for r in after) == 0
+        substituted = result.certificate.substituted
+        assert [unit.replacement for unit in substituted] == ["lefts_backup"]
 
 
 # -- the serving layer's breaker -------------------------------------------
@@ -619,3 +684,33 @@ class TestServingBreaker:
         assert third.rows == first.rows
         assert service.breaker.state("lefts") is BreakerState.CLOSED
         assert service.snapshot()["breaker"] == {}
+
+
+class TestAdaptiveSessions:
+    def test_spliced_session_continues_through_ask_for_more(self):
+        registry, query, _ = build_world(side=4, chunk=2, sibling=True)
+        make_flaky(registry, "lefts", delay_rate=1.0)
+        policy = AdaptivePolicy(
+            drift=DriftPolicy(latency_factor=3.0, min_fetches=1)
+        )
+        service = _serve(registry, policy, FakeClock())
+
+        first = service.submit(query, k=4)
+        assert first.stats["replans"] == 1
+        more = service.ask_for_more(first.session_id, 8)
+        # The continuation grows the spliced plan; the adapted lefts
+        # never re-trips, so it performs no splice of its own and
+        # must not re-report the submit's.
+        assert more.stats["service_calls"] >= 1
+        assert more.stats["replans"] == 0
+        assert service.stats.replans == 1
+        assert more.rows[: len(first.rows)] == first.rows
+
+        clean_registry, clean_query, _ = build_world(
+            side=4, chunk=2, sibling=True
+        )
+        clean = QueryService(
+            registry=clean_registry, metric=ExecutionTimeMetric(),
+        ).submit(clean_query, k=more.k)
+        assert more.k == 12
+        assert more.rows == clean.rows
