@@ -21,7 +21,8 @@ layer and measures what the subsystem was built to amortize:
   round-robin against one shared fleet over the SQLite WAL tier; every
   answer must be bit-identical to the sequential cold oracle and the
   plan-cache accounting must match the sequential schedule exactly
-  (single-flight: misses == distinct templates touched, for any N);
+  (single-flight: misses == distinct plan-cache keys touched, i.e.
+  query templates, for any N);
   each sweep point also records p50/p95/p99 per-request wall latency —
   the tail is what concurrent tenants feel, and a mean would hide
   single-flight stalls behind the cache-hit majority.
@@ -43,7 +44,7 @@ import time
 import pytest
 from _bench_env import QUICK, bench_out_name, bench_scale
 
-from repro.serving import PlanCache, QueryService
+from repro.serving import PlanCache, QueryService, template_fingerprint
 from repro.sources.bio import bio_registry, glycolysis_homolog_query
 from repro.sources.news import market_moving_news_query, news_registry
 from repro.sources.travel import running_example_query, travel_registry
@@ -226,6 +227,15 @@ class TestServingTrajectory:
         population = _templates()
         stream = _zipf_stream(len(population), REQUESTS)
         touched = sorted({index for index in stream})
+        # Plans are cached per query template, so labels that differ
+        # only in constants (news topics/sectors, weekend budgets)
+        # share one plan-cache key: the domain (one registry, so one
+        # content epoch) plus the template fingerprint (metric, k and
+        # optimizer config are fixed here).
+        touched_keys = {
+            (domain, template_fingerprint(query))
+            for domain, _, query in (population[i] for i in touched)
+        }
 
         # Cold baseline: every submission optimizes and fetches afresh.
         cold = _replay(_baseline_fleet(), population, stream)
@@ -292,10 +302,10 @@ class TestServingTrajectory:
             # schedule: one miss (and one optimize) per touched
             # template, independent of the thread count.
             assert swept_cache.stats.lookups == REQUESTS
-            assert swept_cache.stats.misses == len(touched)
+            assert swept_cache.stats.misses == len(touched_keys)
             assert sum(
                 s.stats.optimizer_runs for s in swept_fleet.values()
-            ) == len(touched)
+            ) == len(touched_keys)
             if not QUICK:
                 assert swept_cache.stats.hit_rate >= 0.95, (
                     f"hit rate regressed: {swept_cache.stats.hit_rate:.2%}"
@@ -312,13 +322,18 @@ class TestServingTrajectory:
 
         # Restart-from-SQLite warm start: a fresh fleet over the last
         # sweep's database replays every touched template with zero
-        # misses and zero optimizer runs.
+        # misses and zero optimizer runs.  The first label of each key
+        # is read from disk and promoted; later labels hit memory.
         warm_start_cache = PlanCache(path=sqlite_path)
         warm_start_fleet = _fleet(warm_start_cache)
+        promoted: set[tuple[str, str]] = set()
         for index in touched:
             domain, label, query = population[index]
             response = warm_start_fleet[domain].submit(query, k=K)
-            assert response.provenance == "disk", label
+            key = (domain, template_fingerprint(query))
+            expected = "memory" if key in promoted else "disk"
+            promoted.add(key)
+            assert response.provenance == expected, label
             assert _answer_signature(response) == oracle[index], label
         assert warm_start_cache.stats.misses == 0, (
             "SQLite tier must start warm after restart"
@@ -338,6 +353,7 @@ class TestServingTrajectory:
                 "k": K,
                 "distinct_templates": len(population),
                 "templates_touched": len(touched),
+                "plan_cache_keys_touched": len(touched_keys),
                 "zipf_exponent": ZIPF_EXPONENT,
                 "domains": sorted(_REGISTRIES),
                 "baseline": "per-request optimization, no plan cache, "

@@ -37,7 +37,6 @@ bit-identical (rows, ranks, and order) to
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Iterable, Iterator, Sequence
 
 from repro.execution.lazy import MaterializedCursor, RowCursor
@@ -656,39 +655,46 @@ class JoinStream:
             return None
         return slot
 
-    def _remaining_lower_bound(self) -> float:
-        """Lower bound on the composed rank of every unvisited cell.
+    def _bound_reaches(self, threshold: float) -> bool:
+        """True when no unvisited cell can rank below *threshold*.
 
-        NL (row stages): all cells of rows ``>= stage`` are unvisited,
-        so the bound is ``min(left ranks from stage) + min(right
-        ranks)``.  MS (diagonal stages): the unvisited region is
-        ``i + j >= stage``; rows ``i >= stage`` may pair with any
+        Tests the lower bound on the composed rank of every unvisited
+        cell term by term, stopping at the first term below
+        *threshold*.  NL (row stages): all cells of rows ``>= stage``
+        are unvisited, so the bound is ``min(left ranks from stage) +
+        min(right ranks)``.  MS (diagonal stages): the unvisited region
+        is ``i + j >= stage``; rows ``i >= stage`` may pair with any
         column (one suffix lookup), rows ``i < stage`` only with
         columns ``j >= stage - i`` (one suffix lookup each).  Cursor
         ``suffix_min`` bounds never-fetched rows through their rank
         floor, so the bound stays sound for partially fetched lazy
         inputs: every fetched index below ``stage`` is covered by the
-        per-row loop (the previous stage's demand guarantees the
+        per-row terms (the previous stage's demand guarantees the
         fetched prefix reaches ``min(stage, n)``), and everything
         beyond the fetched prefix is covered by a floor term.
+
+        Stopping early pulls no fewer pages than evaluating every
+        term: only a cursor's *first* ``suffix_min`` of an evaluation
+        can fetch (a non-monotone lazy cursor drains once and is then
+        exhausted; a multi-feed cursor caches its unplaced bound), and
+        the leading term, evaluated whole, makes both cursors' first
+        calls whenever it applies.  Only called on an unexhausted
+        stream (:meth:`top` checks first).
         """
-        if self.exhausted:
-            return math.inf
         left, right = self._left, self._right
         stage = self._stage
         if self._method is JoinMethod.NESTED_LOOP:
-            return left.suffix_min(stage) + right.suffix_min(0)
+            return left.suffix_min(stage) + right.suffix_min(0) >= threshold
         n_known, m_known = len(left.rows), len(right.rows)
-        best = math.inf
         if not left.exhausted or stage < n_known:
-            best = left.suffix_min(stage) + right.suffix_min(0)
+            if left.suffix_min(stage) + right.suffix_min(0) < threshold:
+                return False
         start = max(0, stage - m_known + 1) if right.exhausted else 0
         left_ranks = left.ranks
         for i in range(start, min(stage, n_known)):
-            bound = left_ranks[i] + right.suffix_min(stage - i)
-            if bound < best:
-                best = bound
-        return best
+            if left_ranks[i] + right.suffix_min(stage - i) < threshold:
+                return False
+        return True
 
     def top(self, k: int | None = None) -> list[Row]:
         """The top-*k* composed rows; resumes the suspended walk.
@@ -746,8 +752,7 @@ class JoinStream:
             return True
         if len(worst_first) < k:
             return False
-        threshold = -worst_first[0][0]
-        return self._remaining_lower_bound() >= threshold
+        return self._bound_reaches(-worst_first[0][0])
 
 
 def execute_join_streamed(

@@ -2,7 +2,7 @@
 
 Sits above the model/optimizer/execution layers and amortizes their
 work across repeated traffic: a persistent two-tier plan cache keyed
-by normalized query fingerprints and the registry's content epoch, a
+by query-template fingerprints and the registry's content epoch, a
 logical service cache shared by every request, and progressive
 sessions that resume suspended streams instead of re-executing.  See
 ``docs/ARCHITECTURE.md`` ("Serving layer") for the cache keys, the
@@ -20,6 +20,7 @@ from repro.serving.fingerprint import (
     optimizer_config_token,
     plan_cache_key,
     query_fingerprint,
+    template_fingerprint,
 )
 from repro.serving.plan_cache import CachedPlan, PlanCache, PlanCacheStats
 from repro.serving.service import QueryResponse, QueryService, ServingStats
@@ -51,4 +52,5 @@ __all__ = [
     "optimizer_config_token",
     "plan_cache_key",
     "query_fingerprint",
+    "template_fingerprint",
 ]

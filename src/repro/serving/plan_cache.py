@@ -1,23 +1,27 @@
 """The two-tier persistent plan cache.
 
-Optimized plans are pure functions of the plan-cache key (normalized
-query fingerprint + registry content epoch + metric + ``k`` + cache
+Optimized plans are pure functions of the plan-cache key (query
+template fingerprint + registry content epoch + metric + ``k`` + cache
 setting, see :mod:`repro.serving.fingerprint`), so they can be reused
-across requests, sessions, and *processes*.  The cache stores the
-serializable :class:`~repro.plans.spec.PlanSpec` — the three optimizer
-decisions (patterns, precedence, fetches) — plus the plan's estimated
-cost, never live plan objects: every hit rebuilds a fresh plan against
-the caller's registry, so no two sessions ever share a mutable plan
-(fetching factors grow in place during progressive execution).
+across requests, constant values, sessions, and *processes*.  The
+cache stores the serializable :class:`~repro.plans.spec.PlanSpec` —
+the three optimizer decisions (patterns, precedence, fetches) — plus
+the plan's estimated cost, never live plan objects: every hit rebuilds
+a fresh plan against the caller's registry and query, so no two
+sessions ever share a mutable plan (fetching factors grow in place
+during progressive execution).
 
 Two tiers:
 
 * **memory** — an LRU dict bounded by ``capacity``; hits refresh
-  recency, stores beyond capacity evict the least recently used entry;
+  recency, stores beyond capacity evict the least recently used entry.
+  Entries hold the parsed (frozen) spec, so a memory hit returns the
+  stored :class:`CachedPlan` as is, without re-parsing JSON;
 * **disk** — an optional persistent store (``path``) holding every
-  entry ever admitted.  Lookups that miss memory fall through to disk
-  and promote the entry back into the LRU tier, so a restarted server
-  (or a sibling process pointed at the same path) starts warm.
+  entry ever admitted, as spec JSON.  Lookups that miss memory fall
+  through to disk and promote the entry back into the LRU tier, so a
+  restarted server (or a sibling process pointed at the same path)
+  starts warm.
 
 The disk tier has two interchangeable backends with identical
 lookup/store/stats semantics (a seeded differential in
@@ -68,7 +72,7 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.plans.spec import PlanSpec
@@ -83,7 +87,11 @@ _SQLITE_SUFFIXES = {".sqlite", ".sqlite3", ".db"}
 
 @dataclass(frozen=True)
 class CachedPlan:
-    """One plan-cache hit: the decisions plus where they were found."""
+    """One plan-cache hit: the decisions plus where they were found.
+
+    Memory-tier entries are stored as ``CachedPlan(tier="memory")``
+    and returned by reference: the dataclass and its spec are frozen.
+    """
 
     spec: PlanSpec
     cost: float
@@ -294,7 +302,7 @@ class PlanCache:
             )
         self.path = Path(self.path) if self.path is not None else None
         self._lock = threading.RLock()
-        self._memory: OrderedDict[str, _Entry] = OrderedDict()
+        self._memory: OrderedDict[str, CachedPlan] = OrderedDict()
         self._tenant_keys: dict[str, set[str]] = {}
         self._tier: _JsonDiskTier | SQLiteDiskTier | None = None
         if self.path is not None:
@@ -343,18 +351,22 @@ class PlanCache:
     def lookup(self, key: str) -> CachedPlan | None:
         """The cached plan under *key*, or None; promotes disk hits."""
         with self._lock:
-            entry = self._memory.get(key)
-            if entry is not None:
+            hit = self._memory.get(key)
+            if hit is not None:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
-                return self._hit(entry, "memory")
+                return hit
             if self._tier is not None:
                 row = self._tier.get(key)
                 if row is not None:
-                    entry = _Entry(*row)
+                    spec_json, cost, metric, epoch = row
+                    hit = CachedPlan(
+                        spec=PlanSpec.from_json(spec_json), cost=cost,
+                        metric=metric, epoch=epoch, tier="memory",
+                    )
                     self.stats.disk_hits += 1
-                    self._admit(key, entry)
-                    return self._hit(entry, "disk")
+                    self._admit(key, hit)
+                    return replace(hit, tier="disk")
             self.stats.misses += 1
             return None
 
@@ -366,8 +378,8 @@ class PlanCache:
         *tenant* has exhausted its ``tenant_quota`` of distinct keys —
         the caller's plan still executes, it just is not cached.
         """
-        entry = _Entry(
-            spec_json=spec.to_json(), cost=cost, metric=metric, epoch=epoch
+        entry = CachedPlan(
+            spec=spec, cost=cost, metric=metric, epoch=epoch, tier="memory"
         )
         with self._lock:
             if not self._admit_tenant(tenant, key):
@@ -376,9 +388,7 @@ class PlanCache:
             self.stats.stores += 1
             self._admit(key, entry)
             if self._tier is not None:
-                self._tier.put(
-                    key, entry.spec_json, entry.cost, entry.metric, entry.epoch
-                )
+                self._tier.put(key, spec.to_json(), cost, metric, epoch)
             return True
 
     def _admit_tenant(self, tenant: str | None, key: str) -> bool:
@@ -393,16 +403,7 @@ class PlanCache:
         keys.add(key)
         return True
 
-    def _hit(self, entry: _Entry, tier: str) -> CachedPlan:
-        return CachedPlan(
-            spec=PlanSpec.from_json(entry.spec_json),
-            cost=entry.cost,
-            metric=entry.metric,
-            epoch=entry.epoch,
-            tier=tier,
-        )
-
-    def _admit(self, key: str, entry: _Entry) -> None:
+    def _admit(self, key: str, entry: CachedPlan) -> None:
         if self.capacity == 0:
             return
         self._memory[key] = entry

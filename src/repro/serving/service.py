@@ -6,9 +6,11 @@ rows plus a session id, ``ask_for_more(session_id)`` continues a
 suspended session, and repeated traffic is amortized three ways —
 
 * the **plan cache** (:mod:`repro.serving.plan_cache`) skips the
-  branch-and-bound search entirely when the normalized query
-  fingerprint + registry epoch + (metric, k, cache setting) were seen
-  before, in this process or a previous one;
+  branch-and-bound search entirely when the query's *template*
+  (variables and constants renamed, see
+  :mod:`repro.serving.fingerprint`) + registry epoch + (metric, k,
+  cache setting) were seen before, in this process or a previous
+  one — a new constant value reuses its template's plan;
 * the **shared service cache** — one
   :class:`~repro.execution.cache.LogicalCache` spanning *all* requests
   and sessions, so a page fetched for one tenant answers every later
@@ -78,6 +80,7 @@ from repro.serving.fingerprint import (
     optimizer_config_token,
     plan_cache_key,
     query_fingerprint,
+    query_fingerprints,
 )
 from repro.serving.plan_cache import PlanCache
 from repro.serving.sessions import SessionError, SessionManager
@@ -127,6 +130,8 @@ class QueryResponse:
     #: (no plan was looked up or costed).
     plan_cost: float | None
     metric: str
+    #: The exact, constant-sensitive :func:`query_fingerprint` (the
+    #: plan-cache key uses the template fingerprint instead).
     fingerprint: str
     epoch: str
     stats: dict
@@ -301,9 +306,10 @@ class QueryService:
         """Answer the top-``k`` of *query*, opening a session.
 
         Accepts a parsed :class:`ConjunctiveQuery` or datalog text.
-        The plan is taken from the plan cache when the fingerprint and
-        optimization context match; otherwise the optimizer runs and
-        its decisions are stored for every later submission.
+        The plan is taken from the plan cache when the query template
+        and optimization context match; otherwise the optimizer runs
+        and its decisions are stored for every later submission of the
+        template, whatever its constants.
         """
         if isinstance(query, str):
             query = parse_query(query)
@@ -492,7 +498,11 @@ class QueryService:
 
         Returns ``(plan, cost, provenance, fingerprint, epoch,
         annotate_calls)`` — the request-independent half of
-        :meth:`submit`, shared with :meth:`prefetch`.
+        :meth:`submit`, shared with :meth:`prefetch`.  The key is built
+        from the template fingerprint, so every constant value of one
+        template shares a plan (the cached spec is rebuilt against
+        *query*'s own constants); the returned ``fingerprint`` is the
+        exact one responses report.
 
         ``registry`` defaults to the service's own; the adaptive path
         passes an :class:`~repro.services.registry.AdjustedRegistry`
@@ -510,7 +520,7 @@ class QueryService:
         """
         if registry is None:
             registry = self.registry
-        fingerprint = query_fingerprint(query)
+        fingerprint, template = query_fingerprints(query)
         epoch = registry.content_epoch()
         config = replace(
             self.optimizer_config or OptimizerConfig(),
@@ -518,7 +528,7 @@ class QueryService:
             cache_setting=self.cache_setting,
         )
         key = plan_cache_key(
-            fingerprint, epoch, self.metric.name, k,
+            template, epoch, self.metric.name, k,
             self.cache_setting.value, optimizer_config_token(config),
         )
         annotate_calls = 0

@@ -38,8 +38,8 @@ from pathlib import Path
 #: ``PRAGMA user_version`` stamped on databases this tier creates.
 _SCHEMA_VERSION = 1
 
-#: One row per cached plan; the key embeds fingerprint + epoch +
-#: optimization context (see ``repro.serving.fingerprint``), so
+#: One row per cached plan; the key embeds the template fingerprint +
+#: epoch + optimization context (see ``repro.serving.fingerprint``), so
 #: ``key`` alone is the primary key and ``epoch`` is denormalized
 #: purely to make pruning a single indexed DELETE.
 _SCHEMA = """

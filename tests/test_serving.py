@@ -648,6 +648,49 @@ class TestServingDifferential:
         assert _answer_signature(warm_answer) == _answer_signature(cold_answer)
 
     @given(
+        first=st.tuples(
+            st.sampled_from(_TOPICS), st.sampled_from(_SECTORS),
+            st.integers(-10, 30),
+        ),
+        second=st.tuples(
+            st.sampled_from(_TOPICS), st.sampled_from(_SECTORS),
+            st.integers(-10, 30),
+        ),
+        budgets=st.tuples(st.integers(40, 300), st.integers(40, 300)),
+        k=st.integers(1, 6),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_new_constants_reuse_the_template_plan(
+        self, first, second, budgets, k
+    ):
+        # Submitting constants A leaves the template's plan (and A's
+        # pages) behind; constants B are then planned from the memory
+        # tier, yet answer exactly like a cold optimize+execute of B.
+        for registry, queries in (
+            (news_registry, [market_moving_news_query(*first),
+                             market_moving_news_query(*second)]),
+            (weekend_registry, [mahler_weekend_query(budget)
+                                for budget in budgets]),
+        ):
+            warm = QueryService(registry=registry(), k_default=k)
+            warm.submit(queries[0], k=k)
+            warm_answer = warm.submit(queries[1], k=k)
+            assert warm_answer.provenance == "memory"
+            assert warm_answer.stats["annotate_calls"] == 0
+            assert warm.stats.optimizer_runs == 1
+            cold = QueryService(
+                registry=registry(), k_default=k,
+                plan_cache=PlanCache(capacity=0), share_service_cache=False,
+            )
+            cold_answer = cold.submit(queries[1], k=k)
+            assert cold_answer.provenance == "optimized"
+            assert warm_answer.fingerprint == cold_answer.fingerprint
+            assert warm_answer.plan_cost == cold_answer.plan_cost
+            assert _answer_signature(warm_answer) == _answer_signature(
+                cold_answer
+            )
+
+    @given(
         topic=st.sampled_from(_TOPICS),
         k=st.integers(1, 5),
         streamed=st.booleans(),
@@ -662,7 +705,7 @@ class TestServingDifferential:
         shared = QueryService(
             registry=news_registry(), k_default=k, mode=mode
         )
-        # Warm the shared cache with *different* templates first.
+        # Warm the shared cache with *different* constants first.
         for other_sector in _SECTORS:
             shared.submit(market_moving_news_query(topic, other_sector), k=k)
         query = market_moving_news_query(topic, "tech")

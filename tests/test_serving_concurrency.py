@@ -115,8 +115,10 @@ class TestSingleFlight:
         service = _service(news_registry)
 
         def work(index):
+            # Topics alone share one template (and so one key); the
+            # answer budget k keeps the four keys distinct.
             query = market_moving_news_query(_TOPICS[index % 4], "tech")
-            service.submit(query, k=3)
+            service.submit(query, k=2 + index % 4)
 
         _run_workers(8, work)
         assert service.stats.optimizer_runs == 4
@@ -354,25 +356,31 @@ class TestSQLiteTierConcurrency:
 
     def test_threaded_service_restarts_warm_from_sqlite(self, tmp_path):
         path = tmp_path / "plans.sqlite"
+        # Topic/sector variants share one template; a distinct k per
+        # variant gives each its own plan-cache key.
         templates = [
-            market_moving_news_query(topic, sector)
-            for topic in _TOPICS
-            for sector in ("tech", "energy")
+            (market_moving_news_query(topic, sector), k)
+            for k, (topic, sector) in enumerate(
+                ((topic, sector) for topic in _TOPICS
+                 for sector in ("tech", "energy")),
+                start=1,
+            )
         ]
         first = _service(news_registry, plan_cache=PlanCache(path=path))
 
         def work(index):
             rng = random.Random(index)
             for _ in range(10):
-                first.submit(rng.choice(templates), k=3)
+                query, k = rng.choice(templates)
+                first.submit(query, k=k)
 
         _run_workers(6, work)
         assert first.plan_cache.stats.misses == len(templates)
         first.plan_cache.close()
         # A restarted service over the same database starts 0-miss.
         restarted = _service(news_registry, plan_cache=PlanCache(path=path))
-        for template in templates:
-            assert restarted.submit(template, k=3).provenance == "disk"
+        for query, k in templates:
+            assert restarted.submit(query, k=k).provenance == "disk"
         assert restarted.plan_cache.stats.misses == 0
         assert restarted.stats.optimizer_runs == 0
 
